@@ -28,7 +28,6 @@ DEFAULT_GRID = [[a, b] for a in (0.5, 1.0, 2.0) for b in (0.5, 1.0, 2.0, 4.0)]
 DEFAULT_CONFIG = {
     "theta_grid": DEFAULT_GRID,
     "quadrature": {"rel_tol": 1e-10, "abs_tol": 1e-12, "max_subdivisions": 200},
-    "mc": {"seed": 0, "n": 100000},
     "flow": {"t_end": 0.5, "step": 1e-3, "sign_mode": "descent", "x_policy": 1.0},
     "potential_x": 1.0,
     "output_path": None,

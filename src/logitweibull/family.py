@@ -43,7 +43,7 @@ def as_theta(theta) -> ThetaPoint:
 
 @dataclass(frozen=True)
 class ScoreVector:
-    """First partials of the log-likelihood with respect to (a, b)."""
+    """First partials of the log-likelihood with respect to (a, b); arrays for array x."""
 
     d_a: float
     d_b: float
@@ -51,7 +51,8 @@ class ScoreVector:
 
 @dataclass(frozen=True)
 class LogLikHessian:
-    """Second partials of the log-likelihood; h_ab is stored once (symmetric)."""
+    """Second partials of the log-likelihood; h_ab is stored once (symmetric).
+    Arrays for array x."""
 
     h_aa: float
     h_ab: float
@@ -67,22 +68,40 @@ class GumbelLink:
     var_xi: float
 
 
-def _check_x(x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"x must be a finite positive real, got {x!r}")
-    return x
+def _check_x(x):
+    """x as a float (scalar input) or a float array, every entry finite and positive."""
+    if isinstance(x, (int, float)):  # fast path for the common scalar call
+        if not (math.isfinite(x) and x > 0.0):
+            raise ValueError(f"x must be a finite positive real, got {x!r}")
+        return float(x)
+    arr = np.asarray(x, dtype=float)
+    ok = np.isfinite(arr) & (arr > 0.0)
+    if not ok.all():
+        raise ValueError(f"x must be a finite positive real, got {arr[~ok].flat[0]!r}")
+    return float(arr) if arr.ndim == 0 else arr
 
 
-def pdf(theta, x: float) -> float:
-    """Weibull density (b/a)(x/a)^(b-1) exp(-(x/a)^b)."""
+def _log(x):
+    """math.log for a float, np.log for an array: scalar calls stay cheap."""
+    return math.log(x) if isinstance(x, float) else np.log(x)
+
+
+def _exp(x):
+    return math.exp(x) if isinstance(x, float) else np.exp(x)
+
+
+def pdf(theta, x):
+    """Weibull density (b/a)(x/a)^(b-1) exp(-(x/a)^b); x may be an array.
+
+    Evaluated as exp((b-1) log z - z^b) so that a z^b that overflows gives 0,
+    not inf * 0.
+    """
     th = as_theta(theta)
-    x = _check_x(x)
-    z = x / th.a
-    return (th.b / th.a) * z ** (th.b - 1.0) * math.exp(-(z**th.b))
+    z = _check_x(x) / th.a
+    return (th.b / th.a) * _exp((th.b - 1.0) * _log(z) - z**th.b)
 
 
-def log_likelihood(theta, x: float) -> float:
+def log_likelihood(theta, x):
     """log p_theta(x) = log b - log a - (b-1) log a + (b-1) log x - a^(-b) x^b."""
     th = as_theta(theta)
     x = _check_x(x)
@@ -91,29 +110,30 @@ def log_likelihood(theta, x: float) -> float:
         math.log(b)
         - math.log(a)
         - (b - 1.0) * math.log(a)
-        + (b - 1.0) * math.log(x)
+        + (b - 1.0) * _log(x)
         - a ** (-b) * x**b
     )
 
 
-def score(theta, x: float) -> ScoreVector:
-    """Gradient of the log-likelihood in (a, b) at a sample point x."""
+def score(theta, x) -> ScoreVector:
+    """Gradient of the log-likelihood in (a, b) at a sample point x (or an array of them)."""
     th = as_theta(theta)
     x = _check_x(x)
     a, b = th.a, th.b
     u = a ** (-b) * x**b
+    la, lx = math.log(a), _log(x)
     d_a = (b / a) * (u - 1.0)
-    d_b = u * math.log(a) - u * math.log(x) + math.log(x) - math.log(a) + 1.0 / b
+    d_b = u * la - u * lx + lx - la + 1.0 / b
     return ScoreVector(d_a, d_b)
 
 
-def log_likelihood_hessian(theta, x: float) -> LogLikHessian:
-    """Second partials of the log-likelihood at (theta, x)."""
+def log_likelihood_hessian(theta, x) -> LogLikHessian:
+    """Second partials of the log-likelihood at (theta, x); x may be an array."""
     th = as_theta(theta)
     x = _check_x(x)
     a, b = th.a, th.b
     u = a ** (-b) * x**b
-    la, lx = math.log(a), math.log(x)
+    la, lx = math.log(a), _log(x)
     h_aa = -(b / a**2) * (-1.0 + b * u + u)
     h_ab = -(1.0 / a) * (1.0 + b * u * la - u - b * u * lx)
     h_bb = -(1.0 / b**2) * (1.0 + b**2 * u * la**2 - 2.0 * b**2 * u * la * lx + b**2 * u * lx**2)

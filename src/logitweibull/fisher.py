@@ -160,17 +160,17 @@ def compare_metrics(theta, cfg: QuadratureConfig | None = None) -> list[Verifica
         make_record(
             "E[log x]",
             moment_log_paper(th),
-            expectation_quadrature(th, math.log, cfg).value,
+            expectation_quadrature(th, np.log, cfg).value,
         ),
         make_record(
             "E[x^b log x]",
             moment_xb_log_paper(th),
-            expectation_quadrature(th, lambda x: x**th.b * math.log(x), cfg).value,
+            expectation_quadrature(th, lambda x: x**th.b * np.log(x), cfg).value,
         ),
         make_record(
             "E[x^b log^2 x]",
             moment_xb_log2_paper(th),
-            expectation_quadrature(th, lambda x: x**th.b * math.log(x) ** 2, cfg).value,
+            expectation_quadrature(th, lambda x: x**th.b * np.log(x) ** 2, cfg).value,
         ),
     ]
     return records

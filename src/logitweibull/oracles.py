@@ -1,8 +1,10 @@
 """Independent numerical ground truth used to audit closed-form identities.
 
-Half-line quadrature (variable change x = t/(1-t) onto (0,1), then adaptive
-Gauss-Kronrod via scipy), Monte Carlo expectations, central finite differences,
-bracketed root finding, and exact nested integration of polynomial integrands.
+Half-line quadrature by the exp-sinh double-exponential rule (Takahasi & Mori
+1974) with level-doubling error control, Weibull expectations in the Exp(1)
+coordinate u = (x/a)^b, Monte Carlo expectations, central finite
+differences, bracketed root finding, and exact nested integration of
+polynomial integrands.
 """
 
 from __future__ import annotations
@@ -13,13 +15,15 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
-from .family import ThetaPoint, as_theta, pdf, sample
+from .family import ThetaPoint, as_theta, sample
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
+    """Tolerances of integrate_halfline; max_subdivisions caps the number of
+    halvings of the step h (at most MAX_LEVEL levels are built)."""
+
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_subdivisions: int = 200
@@ -39,7 +43,8 @@ class OracleValue:
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature exhausted its budget before reaching tolerance."""
+    """Quadrature failed: no convergence within the halving cap, a non-finite
+    integrand value, or an integrand that does not decay at the truncation."""
 
 
 class BracketError(ValueError):
@@ -48,53 +53,121 @@ class BracketError(ValueError):
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
+# Exp-sinh rule: x = exp(pi/2 sinh t), t in [-T_MAX, T_MAX], on nested grids of
+# step 2^-k.  Level 0 holds the integer t; level k > 0 adds the odd multiples
+# of 2^-k.  Nodes are stored level after level, so the first LEVEL_END[k] of
+# them make up the level-k grid.  T_MAX = 4 loses 3e-6 of the mass of the
+# density at (a, b) = (0.5, 0.3); T_MAX = 5 loses under 1e-15.
+T_MAX = 5
+MAX_LEVEL = 10
+# The audited integrands meet the default tolerance at level 5 (h = 1/32), so
+# the first evaluation covers that grid and compares it with level 4.
+START_LEVEL = 5
 
-def integrate_halfline(f: Callable[[float], float], cfg: QuadratureConfig | None = None) -> OracleValue:
-    """Adaptive quadrature of the integral of f over (0, inf).
 
-    The half line is mapped to (0, 1) through x = t/(1-t); endpoint
-    singularities integrable at x = 0 (e.g. Weibull densities with b < 1)
-    are handled by the adaptive subdivision.
+def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, list[int]]:
+    levels = [np.arange(-T_MAX, T_MAX + 1, dtype=float)]
+    for k in range(1, MAX_LEVEL + 1):
+        h = 2.0**-k
+        levels.append(-T_MAX + h * np.arange(1, 2 * T_MAX * 2**k, 2))
+    t = np.concatenate(levels)
+    s = 0.5 * math.pi * np.sinh(t)
+    x = np.exp(s)
+    return x, 0.5 * math.pi * np.cosh(t) * x, np.cumsum([len(v) for v in levels]).tolist()
+
+
+NODES, WEIGHTS, LEVEL_END = _exp_sinh_nodes()
+# Indices of t = -T_MAX and t = T_MAX, whose terms bound the truncation error.
+ENDPOINTS = [0, 2 * T_MAX]
+
+
+def _evaluate(f: Callable, x: np.ndarray) -> np.ndarray:
+    """f at every entry of x: one call on the array, or, for a scalar-only f
+    (such as math.log), one call per entry."""
+    try:
+        vals = np.asarray(f(x), dtype=float)
+        if vals.shape == x.shape:
+            return vals
+    except (TypeError, ValueError):
+        pass
+    return np.fromiter((f(v) for v in x.tolist()), dtype=float, count=x.size)
+
+
+def integrate_halfline(f: Callable, cfg: QuadratureConfig | None = None) -> OracleValue:
+    """Integral of f over (0, inf) by the exp-sinh rule.
+
+    Each level halves h and evaluates only its new nodes, in one call of f.
+    The error estimate is |I_h - I_2h|; the rule stops once it is within
+    max(abs_tol, rel_tol |I|).  QuadratureError is raised when that does not
+    happen within cfg.max_subdivisions halvings, when f returns a non-finite
+    value, or when the terms at t = +-T_MAX exceed the tolerance, the sign of
+    an integral the truncation cuts short (a divergent one among them).
+    Integrable endpoint singularities such as x^(b-1) with b < 1 decay
+    double-exponentially in t and need no special care.
     """
     cfg = cfg or DEFAULT_QUADRATURE
+    cap = min(cfg.max_subdivisions, MAX_LEVEL)
+    level = min(START_LEVEL, cap)
 
-    def g(t: float) -> float:
-        x = t / (1.0 - t)
-        return f(x) / (1.0 - t) ** 2
+    def terms(lo: int, hi: int) -> np.ndarray:
+        # floating-point flags are not reported as warnings: a non-finite
+        # term fails the finiteness check on the sums instead
+        with np.errstate(all="ignore"):
+            return _evaluate(f, NODES[lo:hi]) * WEIGHTS[lo:hi]
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        res = quad(
-            g,
-            0.0,
-            1.0,
-            epsabs=cfg.abs_tol,
-            epsrel=cfg.rel_tol,
-            limit=cfg.max_subdivisions,
-            full_output=1,
+    first = terms(0, LEVEL_END[level])
+    tails = np.abs(first[ENDPOINTS])
+    total = float(first[: LEVEL_END[level - 1]].sum())
+    coarse = total * 2.0 ** (1 - level)
+    total += float(first[LEVEL_END[level - 1] :].sum())
+    while True:
+        if not math.isfinite(total):
+            raise QuadratureError("non-finite integrand value")
+        value = total * 2.0**-level
+        err = abs(value - coarse)
+        tol = max(cfg.abs_tol, cfg.rel_tol * abs(value))
+        if err <= tol:
+            break
+        if level == cap:
+            raise QuadratureError(
+                f"quadrature did not converge after {level} halvings: error {err:.3g} > {tol:.3g}"
+            )
+        level += 1
+        coarse = value
+        total += float(terms(LEVEL_END[level - 1], LEVEL_END[level]).sum())
+    if tails.max() > tol:
+        raise QuadratureError(
+            f"integrand does not decay at the truncation |t| = {T_MAX}: term {tails.max():.3g} > {tol:.3g}"
         )
-    value, abserr, info = res[0], res[1], res[2]
-    if len(res) > 3:
-        # quad flagged trouble; only fail if the achieved error is actually bad
-        if not math.isfinite(value) or abserr > max(1e-9, 1e-8 * abs(value)):
-            raise QuadratureError(f"quadrature did not converge: {res[3]}")
-    return OracleValue(value, abserr, int(info["neval"]))
+    return OracleValue(value, err, LEVEL_END[level])
 
 
-def expectation_quadrature(theta, g: Callable[[float], float], cfg: QuadratureConfig | None = None) -> OracleValue:
-    """E[g(X)] for X ~ Weibull(theta) by half-line quadrature."""
+def expectation_quadrature(theta, g: Callable, cfg: QuadratureConfig | None = None) -> OracleValue:
+    """E[g(X)] for X ~ Weibull(theta), as the integral over u in (0, inf) of
+    g(a u^(1/b)) e^(-u): the substitution u = (x/a)^b removes the density's
+    x^(b-1) singularity.  Where e^(-u) underflows the node contributes exactly
+    0 and g is not evaluated."""
     th = as_theta(theta)
-    return integrate_halfline(lambda x: g(x) * pdf(th, x), cfg)
+    a, inv_b = th.a, 1.0 / th.b
+
+    def phi(u: np.ndarray) -> np.ndarray:
+        # 0-d input too: if g raises on the whole array, integrate_halfline
+        # retries node by node, and g's own error then surfaces
+        u = np.asarray(u)
+        w = np.exp(-u)
+        live = w > 0.0
+        out = np.zeros_like(u)
+        out[live] = _evaluate(g, a * u[live] ** inv_b) * w[live]
+        return out
+
+    return integrate_halfline(phi, cfg)
 
 
 def expectation_montecarlo(theta, g, seed: int, n: int) -> OracleValue:
     """Sample-mean estimate of E[g(X)]; error_estimate is the sample stderr."""
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    xs = sample(theta, seed, n)
-    vals = np.asarray(g(xs), dtype=float)
-    if vals.shape != xs.shape:  # g was not vectorized
-        vals = np.fromiter((g(x) for x in xs), dtype=float, count=n)
+    vals = _evaluate(g, sample(theta, seed, n))
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(n))
     return OracleValue(mean, stderr, n)
