@@ -22,7 +22,7 @@ from .family import ThetaPoint, as_theta, sample
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Tolerances of integrate_halfline; max_subdivisions caps the number of
-    halvings of the step h (at most MAX_LEVEL levels are built)."""
+    halvings of the step h (the rule builds MAX_LEVEL of them)."""
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
@@ -71,8 +71,7 @@ def _exp_sinh_nodes() -> tuple[np.ndarray, np.ndarray, list[int]]:
         h = 2.0**-k
         levels.append(-T_MAX + h * np.arange(1, 2 * T_MAX * 2**k, 2))
     t = np.concatenate(levels)
-    s = 0.5 * math.pi * np.sinh(t)
-    x = np.exp(s)
+    x = np.exp(0.5 * math.pi * np.sinh(t))
     return x, 0.5 * math.pi * np.cosh(t) * x, np.cumsum([len(v) for v in levels]).tolist()
 
 
