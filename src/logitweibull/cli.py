@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -59,6 +60,17 @@ def _quad_config(cfg: dict) -> QuadratureConfig:
 def _parse_theta(spec: str) -> ThetaPoint:
     a, b = (float(v) for v in spec.split(","))
     return ThetaPoint(a, b)
+
+
+def _positive_finite(text: str) -> float:
+    """argparse type: a finite positive float."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+    return value
 
 
 def _fmt(v: float) -> str:
@@ -199,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", required=True, metavar="a,b")
     p.add_argument("--sign", choices=["paper", "descent"])
     p.add_argument("--x", help="fixed x value, or 'root'")
-    p.add_argument("--t-end", type=float, dest="t_end")
-    p.add_argument("--step", type=float)
+    p.add_argument("--t-end", type=_positive_finite, dest="t_end")
+    p.add_argument("--step", type=_positive_finite)
     p.add_argument("--lyapunov", action="store_true", help="print the monitor to stderr")
     p.add_argument("--out")
     p.set_defaults(func=cmd_flow)

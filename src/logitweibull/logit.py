@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .family import ThetaPoint, as_theta, pdf
+from .family import ThetaPoint, _check_x, _log, as_theta, pdf
 from .oracles import BracketError, find_root_bracketed
 
 
@@ -93,21 +93,19 @@ def iota_product(X, Y) -> GroupElement:
 def action(theta, x: float) -> float:
     """Group action on the sample space: u = a^(-b) x^b."""
     a, b = _pair(theta)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"x must be a finite positive real, got {x!r}")
-    return a ** (-b) * x**b
+    return a ** (-b) * _check_x(x) ** b
 
 
-def constraint_residual(theta, x: float) -> float:
+def constraint_residual(theta, x):
     """The transcendental constraint on x, written exactly as published:
-    2b u - 2b - 2 u a ln a + 2 u a ln x - 2 a ln x + 2 a ln a - a, u = a^(-b) x^b."""
+    2b u - 2b - 2 u a ln a + 2 u a ln x - 2 a ln x + 2 a ln a - a, u = a^(-b) x^b.
+
+    x may be an array (numpy in, numpy out); a scalar x gives a float.
+    """
     a, b = _pair(theta)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"x must be a finite positive real, got {x!r}")
+    x = _check_x(x)
     u = a ** (-b) * x**b
-    la, lx = math.log(a), math.log(x)
+    la, lx = math.log(a), _log(x)
     return 2.0 * b * u - 2.0 * b - 2.0 * u * a * la + 2.0 * u * a * lx - 2.0 * a * lx + 2.0 * a * la - a
 
 
@@ -124,13 +122,13 @@ def solve_constraint(theta, search_window: tuple[float, float] = (1e-3, 1e3), to
         raise ValueError(f"invalid search window {search_window!r}")
     f = lambda x: constraint_residual(th, x)
     grid = np.geomspace(lo, hi, 257)
-    vals = np.array([f(x) for x in grid])
+    vals = constraint_residual(th, grid)
     roots: list[tuple[float, tuple[float, float]]] = []
-    for i in range(256):
+    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist():
+        bl, bh = float(grid[i]), float(grid[i + 1])
         if vals[i] == 0.0:
-            roots.append((float(grid[i]), (float(grid[i]), float(grid[i + 1]))))
-        elif vals[i] * vals[i + 1] < 0.0:
-            bl, bh = float(grid[i]), float(grid[i + 1])
+            roots.append((bl, (bl, bh)))
+        else:
             roots.append((find_root_bracketed(f, bl, bh, tol), (bl, bh)))
     if not roots:
         raise BracketError(f"no sign change of the constraint found in {search_window!r} at {th}")
@@ -148,10 +146,7 @@ def logit_density(theta, y: int, x: float) -> float:
 def link_function(theta, x: float, u: float) -> float:
     """Link r(u) = (b/a)(u - 1)/(2x) driving the potential's double integral."""
     a, b = _pair(theta)
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"x must be a finite positive real, got {x!r}")
-    return (b / a) * (u - 1.0) / (2.0 * x)
+    return (b / a) * (u - 1.0) / (2.0 * _check_x(x))
 
 
 def potential_closed(theta, x: float) -> float:
@@ -238,13 +233,18 @@ def _constraint_partials(a: float, b: float, x: float) -> tuple[float, float, fl
     return r_a, r_b, r_x
 
 
+def _root_slope(a: float, b: float, x: float, r_a: float, r_b: float, r_x: float) -> tuple[float, float]:
+    """(dx/da, dx/db) = -(R_a, R_b)/R_x, or SingularConstraintError when R_x vanishes."""
+    if abs(r_x) < 1e-12 * max(1.0, abs(r_a), abs(r_b)):
+        raise SingularConstraintError(f"constraint x-derivative vanishes at theta=({a}, {b}), x={x}")
+    return -r_a / r_x, -r_b / r_x
+
+
 def implicit_root_gradient(theta, x: float) -> np.ndarray:
     """(dx/da, dx/db) along the constraint, from implicit differentiation."""
     a, b = _pair(theta)
-    r_a, r_b, r_x = _constraint_partials(a, b, float(x))
-    if abs(r_x) < 1e-12 * max(1.0, abs(r_a), abs(r_b)):
-        raise SingularConstraintError(f"constraint x-derivative vanishes at theta=({a}, {b}), x={x}")
-    return np.array([-r_a / r_x, -r_b / r_x])
+    x = float(x)
+    return np.array(_root_slope(a, b, x, *_constraint_partials(a, b, x)))
 
 
 def dual_coordinates(theta, x: float, mode: str = "fixed_x") -> tuple[float, float]:
@@ -286,26 +286,61 @@ def solve_near(theta, x_guess: float, tol: float = 1e-12) -> ConstraintRoot:
     return solve_constraint(theta, tol=tol)
 
 
-def potential_hessian_total(theta, x: float, h: float = 1e-5) -> np.ndarray:
-    """Hessian of theta -> Phi(theta, x*(theta)) along the constraint.
+def potential_hessian_total(theta, x: float) -> np.ndarray:
+    """Hessian of theta -> Phi(theta, x*(theta)) along the constraint R(theta, x*) = 0.
 
-    Central differences of the implicit analytic gradient, re-solving the
-    constraint at each displaced point; symmetrized.
+    Second-order implicit differentiation in w = (a, b, x): with Phi'' and R''
+    the 3x3 second derivatives and J = [I; -R_theta/R_x] the tangent of the
+    constraint surface, H = J^T (Phi'' - (Phi_x/R_x) R'') J.  The constraint
+    is written R = 2(u-1) s - a with s = b + a L, L = ln(x/a), u = e^(bL).
+    Raises SingularConstraintError where R_x vanishes, as implicit_root_gradient.
     """
-    th = as_theta(theta)
+    a, b = _pair(theta)
     x = float(x)
+    u, c, p, dp, ddp, big_l = _phi_pieces(a, b, x)
+    s = b + a * big_l
+    # first partials in (a, b, x)
+    c1 = (-2.0 * c / a, 2.0 * c / b, -c / x)
+    u1 = (-(b / a) * u, u * big_l, (b / x) * u)
+    s1 = (big_l - 1.0, 1.0, a / x)
+    # second partials, indexed by the pairs aa, ab, ax, bb, bx, xx
+    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
+    c2 = (6.0 * c / a**2, -4.0 * c / (a * b), 2.0 * c / (a * x), 2.0 * c / b**2, -2.0 * c / (b * x), 2.0 * c / x**2)
+    u2 = (
+        (b / a**2) * u * (1.0 + b),
+        -(u / a) * (1.0 + b * big_l),
+        -(b * b / (a * x)) * u,
+        u * big_l**2,
+        (u / x) * (1.0 + b * big_l),
+        (b / x**2) * u * (b - 1.0),
+    )
+    s2 = (-1.0 / a, 0.0, 1.0 / x, 0.0, 0.0, -a / x**2)
 
-    def grad_at(a: float, b: float) -> np.ndarray:
-        root = solve_near((a, b), x)
-        g = potential_gradient_fixed((a, b), root.x)
-        return g + _phi_x_partial(a, b, root.x) * implicit_root_gradient((a, b), root.x)
+    # R = 2(u-1)s - a, so R_i = 2(u_i s + (u-1) s_i), less 1 for i = a
+    r_a, r_b, r_x = (2.0 * (ui * s + (u - 1.0) * si) for ui, si in zip(u1, s1))
+    r_a -= 1.0
+    xi_a, xi_b = _root_slope(a, b, x, r_a, r_b, r_x)
+    k = (c1[2] * p + c * dp * u1[2]) / r_x  # Phi_x / R_x
+    m = {}
+    for (i, j), cij, uij, sij in zip(pairs, c2, u2, s2):
+        phi_ij = cij * p + dp * (c1[i] * u1[j] + c1[j] * u1[i]) + c * (ddp * u1[i] * u1[j] + dp * uij)
+        r_ij = 2.0 * (uij * s + u1[i] * s1[j] + u1[j] * s1[i] + (u - 1.0) * sij)
+        m[i, j] = phi_ij - k * r_ij
+    h_aa = m[0, 0] + 2.0 * xi_a * m[0, 2] + xi_a * xi_a * m[2, 2]
+    h_ab = m[0, 1] + xi_b * m[0, 2] + xi_a * m[1, 2] + xi_a * xi_b * m[2, 2]
+    h_bb = m[1, 1] + 2.0 * xi_b * m[1, 2] + xi_b * xi_b * m[2, 2]
+    return np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
-    sa = h * max(1.0, th.a)
-    sb = h * max(1.0, th.b)
-    col_a = (grad_at(th.a + sa, th.b) - grad_at(th.a - sa, th.b)) / (2.0 * sa)
-    col_b = (grad_at(th.a, th.b + sb) - grad_at(th.a, th.b - sb)) / (2.0 * sb)
-    hess = np.column_stack([col_a, col_b])
-    return 0.5 * (hess + hess.T)
+
+def potential_hessian(theta, x: float, mode: str = "fixed_x") -> np.ndarray:
+    """Hessian of the closed-form potential in (a, b) under a differentiation
+    mode, the second-order twin of dual_coordinates: 'fixed_x' holds x
+    constant, 'total_derivative' follows the constraint root."""
+    if mode == "fixed_x":
+        return potential_hessian_fixed(theta, x)
+    if mode == "total_derivative":
+        return potential_hessian_total(theta, x)
+    raise ValueError(f"unknown mode {mode!r}")
 
 
 def logit_information(theta, x: float, mode: str = "fixed_x") -> LogitInformation:
@@ -315,12 +350,7 @@ def logit_information(theta, x: float, mode: str = "fixed_x") -> LogitInformatio
     with A = Phi_aa Phi_bb - Phi_ab^2; a positive-definiteness flag for the
     Hessian itself is included so consumers can pick their sign convention.
     """
-    if mode == "fixed_x":
-        hess = potential_hessian_fixed(theta, x)
-    elif mode == "total_derivative":
-        hess = potential_hessian_total(theta, x)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    hess = potential_hessian(theta, x, mode)
     det_a = float(hess[0, 0] * hess[1, 1] - hess[0, 1] ** 2)
     if abs(det_a) <= 1e-12:
         raise SingularInformationError(f"potential Hessian determinant {det_a:g} too small")

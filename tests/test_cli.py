@@ -127,3 +127,26 @@ class TestErrors:
     def test_unwritable_output_is_operational_error(self, capsys):
         code = main(["constraint", "--theta", "1,1", "--out", "/nonexistent-dir/x.json"])
         assert code == 1
+
+
+class TestFlowArguments:
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--step", "0"], "--step"),
+            (["--step", "nan"], "--step"),
+            (["--step", "-1", "--t-end", "3"], "--step"),
+            (["--step", "abc"], "--step"),
+            (["--t-end", "0"], "--t-end"),
+            (["--t-end", "inf"], "--t-end"),
+            (["--t-end", "-0.5"], "--t-end"),
+        ],
+    )
+    def test_invalid_step_or_t_end_exits_2(self, capsys, extra, flag):
+        with pytest.raises(SystemExit) as exc:
+            main(["flow", "--theta", "1,1", "--x", "1.0"] + extra)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {flag}: must be a finite positive number" in captured.err
+        assert "Traceback" not in captured.err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import logitweibull as lw
+from logitweibull import flow as flow_module
 from logitweibull.flow import field_ingredients
 
 
@@ -89,3 +90,73 @@ class TestLyapunovReport:
 
         with pytest.raises(ValueError):
             lw.lyapunov_report(FlowTrajectory([], 1.0, "descent"))
+
+
+class TestInvalidSteps:
+    @pytest.mark.parametrize(
+        "name, kwargs",
+        [
+            ("step", {"step": 0.0}),
+            ("step", {"step": -1.0, "t_end": 3.0}),
+            ("step", {"step": math.nan}),
+            ("step", {"step": math.inf}),
+            ("t_end", {"t_end": 0.0}),
+            ("t_end", {"t_end": -0.5}),
+            ("t_end", {"t_end": math.nan}),
+            ("t_end", {"t_end": math.inf}),
+        ],
+    )
+    def test_rejected_before_integrating(self, name, kwargs):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            lw.integrate_flow((1, 1), 1.0, "descent", **kwargs)
+
+    def test_unknown_sign_mode(self):
+        with pytest.raises(ValueError):
+            lw.integrate_flow((1, 1), 1.0, "sideways", t_end=0.01)
+
+
+class TestStoredIngredients:
+    @pytest.mark.parametrize("x_policy", [1.0, "root"])
+    def test_states_carry_their_ingredients(self, x_policy):
+        traj = lw.integrate_flow((1.3, 2.2), x_policy, "descent", t_end=0.005, step=1e-3)
+        for s in traj.states:
+            grad, hess, x = field_ingredients(s.theta, x_policy)
+            assert s.x == x
+            assert np.array_equal(s.grad, grad) and np.array_equal(s.hess, hess)
+
+    def test_one_solve_per_field_evaluation(self, monkeypatch):
+        # root mode: one solve for the start state, then per step three stages
+        # (k2, k3, k4) and the new state; k1 and the Lyapunov monitor reuse
+        calls = []
+        original = flow_module.solve_near
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(flow_module, "solve_near", counting)
+        traj = lw.integrate_flow((1.3, 2.2), "root", "descent", t_end=0.01, step=1e-3)
+        assert traj.accepted == 10 and traj.rejected == 0 and traj.aborted is None
+        assert len(calls) == 1 + 4 * traj.accepted
+        calls.clear()
+        rep = lw.lyapunov_report(traj)
+        assert rep["n_states"] == 11 and not calls
+
+
+class TestLyapunovCoverage:
+    def test_positive_definite_trajectory_exercises_the_clause(self):
+        traj = lw.integrate_flow((3, 2), 1.0, "descent", t_end=0.1, step=1e-3)
+        rep = lw.lyapunov_report(traj)
+        assert rep["n_states"] == 101
+        assert rep["pd_fraction"] == 1.0
+        assert rep["pd_segments"] == 100
+        assert rep["max_upward_jump_while_pd"] < 0.0
+
+    def test_vacuous_clause_is_visible(self):
+        # indefinite Hessian along the whole run from (1, 1): no segment is
+        # covered, so the restricted jump is the empty-max default 0.0
+        traj = lw.integrate_flow((1, 1), 1.0, "descent", t_end=0.1, step=1e-3)
+        rep = lw.lyapunov_report(traj)
+        assert rep["pd_fraction"] == 0.0
+        assert rep["pd_segments"] == 0
+        assert rep["max_upward_jump_while_pd"] == 0.0
