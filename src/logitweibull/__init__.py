@@ -62,5 +62,4 @@ from .oracles import (
     integrate_halfline,
     nested_polynomial_integral,
 )
-from .records import VerificationRecord, make_record
-from .verify import verification_records
+from .verify import VerificationRecord, make_record, verification_records

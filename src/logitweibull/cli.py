@@ -17,7 +17,7 @@ import math
 import sys
 
 from . import __version__
-from .family import ThetaPoint
+from .family import ThetaPoint, as_theta
 from .fisher import metric_numeric_hessian, metric_numeric_outer, metric_paper
 from .flow import integrate_flow, lyapunov_report
 from .logit import dual_potential, potential_closed, potential_integral, solve_constraint
@@ -57,20 +57,28 @@ def _quad_config(cfg: dict) -> QuadratureConfig:
     return QuadratureConfig(q["rel_tol"], q["abs_tol"], q["max_subdivisions"])
 
 
-def _parse_theta(spec: str) -> ThetaPoint:
-    a, b = (float(v) for v in spec.split(","))
-    return ThetaPoint(a, b)
-
-
-def _positive_finite(text: str) -> float:
-    """argparse type: a finite positive float."""
+def _theta(text: str) -> ThetaPoint:
+    """argparse type: 'a,b' with a and b finite and positive."""
     try:
-        value = float(text)
+        return as_theta(float(v) for v in text.split(","))
     except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a,b with a and b finite and positive, got {text!r}") from None
+
+
+def _positive_finite(text, key: str = "") -> float:
+    """argparse type, also applied to the config value named key: finite, positive, not a bool."""
+    try:
+        value = math.nan if isinstance(text, bool) else float(text)
+    except (TypeError, ValueError):
         value = math.nan
     if not (math.isfinite(value) and value > 0.0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {text!r}")
+        raise argparse.ArgumentTypeError(f"{key}{' ' if key else ''}must be a finite positive number, got {text!r}")
     return value
+
+
+def _x_policy(text, key: str = "") -> float | str:
+    """argparse type, also applied to the config's x_policy: 'root' or a finite positive number."""
+    return "root" if text == "root" else _positive_finite(text, key)
 
 
 def _fmt(v: float) -> str:
@@ -95,14 +103,9 @@ def _report(cfg: dict, records: list[dict]) -> str:
 
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
-    quad = _quad_config(cfg)
+    quad, x = _quad_config(cfg), cfg["potential_x"]
     grid = sorted((float(a), float(b)) for a, b in cfg["theta_grid"])
-    records = []
-    for a, b in grid:
-        for rec in verification_records((a, b), quad, cfg["potential_x"]):
-            d = rec.to_dict()
-            d["theta"] = [a, b]
-            records.append(d)
+    records = [{**rec.to_dict(), "theta": [a, b]} for a, b in grid for rec in verification_records((a, b), quad, x)]
     _write(_report(cfg, records), args.out or cfg["output_path"])
     return 0
 
@@ -110,7 +113,7 @@ def cmd_verify(args) -> int:
 def cmd_metric(args) -> int:
     cfg = load_config(args.config)
     quad = _quad_config(cfg)
-    th = _parse_theta(args.theta)
+    th = args.theta
     out = {"theta": [th.a, th.b]}
     for label, tensor in (
         ("paper", metric_paper(th)),
@@ -130,17 +133,12 @@ def cmd_metric(args) -> int:
 def cmd_flow(args) -> int:
     cfg = load_config(args.config)
     fcfg = cfg["flow"]
-    th = _parse_theta(args.theta)
-    sign_mode = args.sign or fcfg["sign_mode"]
-    x_policy = fcfg["x_policy"] if args.x is None else args.x
-    if x_policy != "root":
-        x_policy = float(x_policy)
     traj = integrate_flow(
-        th,
-        x_policy,
-        sign_mode,
-        t_end=args.t_end if args.t_end is not None else fcfg["t_end"],
-        step=args.step if args.step is not None else fcfg["step"],
+        args.theta,
+        args.x or _x_policy(fcfg["x_policy"], "flow.x_policy"),
+        args.sign or fcfg["sign_mode"],
+        t_end=args.t_end or _positive_finite(fcfg["t_end"], "flow.t_end"),
+        step=args.step or _positive_finite(fcfg["step"], "flow.step"),
     )
     lines = ["t,a,b,phi"]
     for s in traj.states:
@@ -156,7 +154,7 @@ def cmd_flow(args) -> int:
 
 def cmd_constraint(args) -> int:
     cfg = load_config(args.config)
-    th = _parse_theta(args.theta)
+    th = args.theta
     window = (args.window_lo, args.window_hi)
     try:
         root = solve_constraint(th, window, args.tol)
@@ -174,9 +172,8 @@ def cmd_constraint(args) -> int:
 
 def cmd_potential(args) -> int:
     cfg = load_config(args.config)
-    th = _parse_theta(args.theta)
-    x = args.x if args.x is not None else cfg["potential_x"]
-    x = float(x)
+    th = args.theta
+    x = args.x or _positive_finite(cfg["potential_x"], "potential_x")
     mode = "total_derivative" if args.mode == "total" else "fixed_x"
     ev = dual_potential(th, x, mode)
     record = {
@@ -203,14 +200,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("metric", help="evaluate all metric routes at one point")
-    p.add_argument("--theta", required=True, metavar="a,b")
+    p.add_argument("--theta", type=_theta, required=True, metavar="a,b")
     p.add_argument("--out")
     p.set_defaults(func=cmd_metric)
 
     p = sub.add_parser("flow", help="integrate the gradient flow, emit CSV")
-    p.add_argument("--theta", required=True, metavar="a,b")
+    p.add_argument("--theta", type=_theta, required=True, metavar="a,b")
     p.add_argument("--sign", choices=["paper", "descent"])
-    p.add_argument("--x", help="fixed x value, or 'root'")
+    p.add_argument("--x", type=_x_policy, help="fixed x value, or 'root'")
     p.add_argument("--t-end", type=_positive_finite, dest="t_end")
     p.add_argument("--step", type=_positive_finite)
     p.add_argument("--lyapunov", action="store_true", help="print the monitor to stderr")
@@ -218,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_flow)
 
     p = sub.add_parser("constraint", help="solve the root constraint at theta")
-    p.add_argument("--theta", required=True, metavar="a,b")
+    p.add_argument("--theta", type=_theta, required=True, metavar="a,b")
     p.add_argument("--window-lo", type=float, default=1e-3)
     p.add_argument("--window-hi", type=float, default=1e3)
     p.add_argument("--tol", type=float, default=1e-12)
@@ -226,8 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_constraint)
 
     p = sub.add_parser("potential", help="evaluate the potential and its Legendre dual")
-    p.add_argument("--theta", required=True, metavar="a,b")
-    p.add_argument("--x", type=float)
+    p.add_argument("--theta", type=_theta, required=True, metavar="a,b")
+    p.add_argument("--x", type=_positive_finite)
     p.add_argument("--mode", choices=["fixed", "total"], default="fixed")
     p.add_argument("--out")
     p.set_defaults(func=cmd_potential)
@@ -238,9 +235,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except OSError as exc:
+    except (OSError, ValueError, argparse.ArgumentTypeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return 1
+        return 1 if isinstance(exc, OSError) else 2  # 2: an invalid value in the config or input
 
 
 if __name__ == "__main__":

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import EULER_GAMMA, as_theta, log_likelihood_hessian, score
-from .family import moment_xb, moment_log_paper, moment_xb_log_paper, moment_xb_log2_paper
 from .oracles import QuadratureConfig, expectation_quadrature
-from .records import VerificationRecord, make_record
-
-# Note carried on every record touching rho2: the printed "(1++2a+b)" factor
-# is read as (1+2a+b).
-RHO2_TYPO_NOTE = "printed '(1++2a+b)' read as (1+2a+b)"
 
 
 class SingularMetricError(ZeroDivisionError):
@@ -138,39 +132,16 @@ def integrability_residual(theta, h: float = 1e-4, metric_fn=metric_paper) -> fl
     return dg11_db - dg12_da
 
 
-def verify_inverse(theta) -> VerificationRecord:
-    """Max-norm deviation of G_paper * G_paper_inverse from the identity."""
-    g = metric_paper(theta).as_matrix()
-    ginv = metric_paper_inverse(theta).as_matrix()
-    dev = float(np.max(np.abs(g @ ginv - np.eye(2))))
-    return make_record("G_times_printed_inverse_minus_identity", 0.0, dev, RHO2_TYPO_NOTE)
+def verify_inverse(theta):
+    """Max-norm deviation of G_paper * G_paper_inverse from the identity: the audit table's record."""
+    from .verify import INVERSE_ENTRIES, audit  # verify imports this module
+
+    return audit(INVERSE_ENTRIES, theta)[0]
 
 
-def compare_metrics(theta, cfg: QuadratureConfig | None = None) -> list[VerificationRecord]:
-    """Entrywise audit of the published metric against the numeric-Hessian
-    oracle, plus the published moment formulas against quadrature."""
-    th = as_theta(theta)
-    paper = metric_paper(th)
-    oracle = metric_numeric_hessian(th, cfg)
-    records = [
-        make_record("g11", paper.g11, oracle.g11),
-        make_record("g12", paper.g12, oracle.g12),
-        make_record("g22", paper.g22, oracle.g22, RHO2_TYPO_NOTE),
-        make_record("E[x^b]", moment_xb(th), expectation_quadrature(th, lambda x: x**th.b, cfg).value),
-        make_record(
-            "E[log x]",
-            moment_log_paper(th),
-            expectation_quadrature(th, np.log, cfg).value,
-        ),
-        make_record(
-            "E[x^b log x]",
-            moment_xb_log_paper(th),
-            expectation_quadrature(th, lambda x: x**th.b * np.log(x), cfg).value,
-        ),
-        make_record(
-            "E[x^b log^2 x]",
-            moment_xb_log2_paper(th),
-            expectation_quadrature(th, lambda x: x**th.b * np.log(x) ** 2, cfg).value,
-        ),
-    ]
-    return records
+def compare_metrics(theta, cfg: QuadratureConfig | None = None) -> list:
+    """The audit table's records of the published metric against the numeric-Hessian
+    oracle and of the published moment formulas against quadrature."""
+    from .verify import METRIC_ENTRIES, audit
+
+    return audit(METRIC_ENTRIES, theta, cfg)

@@ -29,6 +29,7 @@ from .family import ThetaPoint, as_theta
 from .logit import SingularInformationError, dual_coordinates, potential_closed, potential_hessian, solve_near
 
 MIN_STEP = 1e-12
+MAX_STEPS = 10**6  # bound on t_end/step, checked once per call
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,8 @@ def integrate_flow(
     for name, value in (("t_end", t_end), ("step", step)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    if t_end / step > MAX_STEPS:
+        raise ValueError(f"t_end/step = {t_end / step:g} exceeds MAX_STEPS = {MAX_STEPS}")
     state = _state(0.0, th, x_policy)
     traj = FlowTrajectory([state], x_policy, sign_mode)
 

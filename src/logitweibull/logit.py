@@ -47,12 +47,12 @@ IDENTITY = GroupElement(1.0, 1.0)
 
 
 def _pair(obj) -> tuple[float, float]:
-    if isinstance(obj, GroupElement):
-        return obj.m, obj.n
+    """(a, b) of a theta, validated by as_theta unless a ThetaPoint; (m, n) of a GroupElement."""
     if isinstance(obj, ThetaPoint):
         return obj.a, obj.b
-    m, n = obj
-    return float(m), float(n)
+    if isinstance(obj, GroupElement):
+        return obj.m, obj.n
+    return _pair(as_theta(obj))
 
 
 @dataclass(frozen=True)
@@ -112,9 +112,10 @@ def constraint_residual(theta, x):
 def solve_constraint(theta, search_window: tuple[float, float] = (1e-3, 1e3), tol: float = 1e-12) -> ConstraintRoot:
     """Solve the constraint for x in the window.
 
-    Scans 256 log-spaced panels for sign changes, refines every bracket, and
-    returns the largest root (the residual tends to +inf at both ends of the
-    half line, so small spurious roots can appear below the scale parameter).
+    Scans 256 log-spaced panels for sign changes and refines the highest
+    bracket only: its root is the largest (the residual tends to +inf at both
+    ends of the half line, so small spurious roots can appear below the scale
+    parameter).
     """
     th = as_theta(theta)
     lo, hi = search_window
@@ -123,16 +124,12 @@ def solve_constraint(theta, search_window: tuple[float, float] = (1e-3, 1e3), to
     f = lambda x: constraint_residual(th, x)
     grid = np.geomspace(lo, hi, 257)
     vals = constraint_residual(th, grid)
-    roots: list[tuple[float, tuple[float, float]]] = []
-    for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist():
-        bl, bh = float(grid[i]), float(grid[i + 1])
-        if vals[i] == 0.0:
-            roots.append((bl, (bl, bh)))
-        else:
-            roots.append((find_root_bracketed(f, bl, bh, tol), (bl, bh)))
-    if not roots:
+    changes = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0))
+    if not changes.size:
         raise BracketError(f"no sign change of the constraint found in {search_window!r} at {th}")
-    x_star, bracket = max(roots, key=lambda r: r[0])
+    i = int(changes[-1])
+    bracket = (float(grid[i]), float(grid[i + 1]))
+    x_star = bracket[0] if vals[i] == 0.0 else find_root_bracketed(f, *bracket, tol)
     return ConstraintRoot(x_star, f(x_star), bracket)
 
 

@@ -150,3 +150,63 @@ class TestFlowArguments:
         assert captured.out == ""
         assert f"argument {flag}: must be a finite positive number" in captured.err
         assert "Traceback" not in captured.err
+
+
+class TestInvalidInput:
+    """Each invalid input gives one error line and exit code 2, never a traceback or exit 0."""
+
+    @staticmethod
+    def exit_code(argv):
+        try:
+            return main(argv)
+        except SystemExit as exc:  # argparse rejects the argument
+            return exc.code
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["metric", "--theta", "1,2,3"], "argument --theta: must be a,b"),
+            (["metric", "--theta", "nan,1"], "argument --theta: must be a,b"),
+            (["flow", "--theta", "1,1", "--x", "0"], "argument --x: must be a finite positive number"),
+            (["flow", "--theta", "1,1", "--x", "abc"], "argument --x: must be a finite positive number"),
+            (["potential", "--theta", "1,1", "--x", "0"], "argument --x: must be a finite positive number"),
+            (["constraint", "--theta", "1,1", "--window-lo", "10", "--window-hi", "1"], "error: invalid search window"),
+        ],
+    )
+    def test_invalid_argument(self, capsys, argv, message):
+        assert self.exit_code(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert message in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"flow": {"step": 0}}, "error: flow.step must be a finite positive number, got 0"),
+            ({"flow": {"step": True, "t_end": True}}, "error: flow.t_end must be a finite positive number, got True"),
+            ({"flow": {"x_policy": 0}}, "error: flow.x_policy must be a finite positive number"),
+            ({"flow": {"step": 1e-13}}, "error: t_end/step = 5e+12 exceeds MAX_STEPS"),
+        ],
+    )
+    def test_invalid_flow_config(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert self.exit_code(["--config", str(cfg), "flow", "--theta", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    def test_flags_override_invalid_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"flow": {"step": 0, "t_end": True, "x_policy": "abc"}}))
+        argv = ["--config", str(cfg), "flow", "--theta", "1,1", "--x", "root", "--t-end", "0.002", "--step", "1e-3"]
+        assert main(argv) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4
+
+    def test_invalid_potential_x_config(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"potential_x": 0}))
+        assert self.exit_code(["--config", str(cfg), "potential", "--theta", "1,1"]) == 2
+        assert capsys.readouterr().err == "error: potential_x must be a finite positive number, got 0\n"

@@ -114,6 +114,20 @@ class TestInvalidSteps:
         with pytest.raises(ValueError):
             lw.integrate_flow((1, 1), 1.0, "sideways", t_end=0.01)
 
+    def test_step_count_bounded_before_any_state(self, monkeypatch):
+        def no_state(*args):
+            raise AssertionError("a state was evaluated")
+
+        monkeypatch.setattr(flow_module, "field_ingredients", no_state)
+        with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
+            lw.integrate_flow((1, 1), 1.0, t_end=0.5, step=1e-13)
+        with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
+            lw.integrate_flow((1, 1), 1.0, t_end=1.0, step=0.999e-6)
+
+    def test_step_count_at_the_bound_runs(self, monkeypatch):
+        monkeypatch.setattr(flow_module, "MAX_STEPS", 10)
+        assert lw.integrate_flow((1, 1), 1.0, t_end=0.01, step=1e-3).accepted == 10
+
 
 class TestStoredIngredients:
     @pytest.mark.parametrize("x_policy", [1.0, "root"])

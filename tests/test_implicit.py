@@ -149,3 +149,32 @@ class TestBranch:
                 th = (float(a), float(b))
                 gaps.append(abs(solve_near(th, th[0]).x - lw.solve_constraint(th).x))
         assert max(gaps) <= 1e-10
+
+    def test_one_refinement_gives_the_largest_root(self, monkeypatch):
+        # solve_constraint refines only the highest bracket of its 257-point
+        # scan; refining every bracket and keeping the largest root, as it once
+        # did, gives the same root bit for bit on the 15 x 15 grid
+        from logitweibull import logit as logit_module
+
+        refined = []
+
+        def counting(*args):
+            refined.append(args)
+            return find_root_bracketed(*args)
+
+        monkeypatch.setattr(logit_module, "find_root_bracketed", counting)
+        grid = np.geomspace(1e-3, 1e3, 257)
+        for a in np.geomspace(0.2, 5.0, 15):
+            for b in np.geomspace(0.2, 8.0, 15):
+                th = (float(a), float(b))
+                refined.clear()
+                root = lw.solve_constraint(th)
+                assert len(refined) <= 1
+                vals = lw.constraint_residual(th, grid)
+                changes = np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0.0)).tolist()
+                f = lambda x: lw.constraint_residual(th, x)
+                roots = [
+                    float(grid[i]) if vals[i] == 0.0 else find_root_bracketed(f, float(grid[i]), float(grid[i + 1]), 1e-12)
+                    for i in changes
+                ]
+                assert root.x == max(roots)

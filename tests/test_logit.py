@@ -68,6 +68,17 @@ class TestAction:
             scaled_close(lhs, rhs, 1e-12)
 
 
+class TestThetaValidation:
+    @pytest.mark.parametrize("theta", [(-1, 2), (1, 0), (math.nan, 1), (1, math.inf)])
+    def test_invalid_pair_rejected(self, theta):
+        for fn in (lw.potential_closed, lw.potential_integral, lw.dual_coordinates, lw.constraint_residual):
+            with pytest.raises(ValueError):
+                fn(theta, 1.0)
+
+    def test_group_elements_still_accepted(self):
+        assert lw.action(GroupElement(2, 3), 4.0) == pytest.approx(8.0, abs=1e-14)
+
+
 class TestConstraint:
     def test_residual_at_unit_point(self):
         assert lw.constraint_residual((1, 1), 1.0) == pytest.approx(-1.0, abs=1e-15)
