@@ -47,6 +47,7 @@ from .logit import (
     logit_information,
     potential_closed,
     potential_integral,
+    potential_jet,
     solve_constraint,
 )
 from .oracles import (

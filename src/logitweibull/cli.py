@@ -35,16 +35,51 @@ DEFAULT_CONFIG = {
 }
 
 
+def _check_config_number(value, key: str, integer: bool = False) -> None:
+    """A config number as JSON gives it: finite and positive, an int if integer, never a bool or a string."""
+    kinds = int if integer else (int, float)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{key} must be a finite positive {'integer' if integer else 'number'}, got {value!r}")
+
+
+def _merge(cfg: dict, user, where: str = "config") -> None:
+    """Override cfg in place with the values of user, a parsed JSON object; a key cfg lacks is an error."""
+    if not isinstance(user, dict):
+        raise ValueError(f"{where} must be a JSON object, got {user!r}")
+    for key, val in user.items():
+        name = key if where == "config" else f"{where}.{key}"
+        if key not in cfg:
+            raise ValueError(f"unknown config key {name!r}")
+        if isinstance(cfg[key], dict):
+            _merge(cfg[key], val, name)
+        else:
+            cfg[key] = val
+
+
 def load_config(path: str | None) -> dict:
+    """The defaults overridden by a JSON config file.
+
+    Unknown keys, a theta_grid that is not a list of [a, b] number pairs,
+    quadrature values that are not positive numbers (an integer
+    max_subdivisions) and an output_path that is not a string raise ValueError
+    here.  Flow values and potential_x are checked where they are used, so that
+    a command-line flag can override them.
+    """
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if path:
         with open(path) as fh:
-            user = json.load(fh)
-        for key, val in user.items():
-            if isinstance(val, dict) and isinstance(cfg.get(key), dict):
-                cfg[key].update(val)
-            else:
-                cfg[key] = val
+            _merge(cfg, json.load(fh))
+    grid = cfg["theta_grid"]
+    if not isinstance(grid, list) or not all(isinstance(pt, list) and len(pt) == 2 for pt in grid):
+        raise ValueError(f"theta_grid must be a list of [a, b] pairs, got {grid!r}")
+    for v in [v for pt in grid for v in pt]:
+        _check_config_number(v, "theta_grid entries")
+    quad = cfg["quadrature"]
+    _check_config_number(quad["rel_tol"], "quadrature.rel_tol")
+    _check_config_number(quad["abs_tol"], "quadrature.abs_tol")
+    _check_config_number(quad["max_subdivisions"], "quadrature.max_subdivisions", integer=True)
+    if not isinstance(cfg["output_path"], (str, type(None))):
+        raise ValueError(f"output_path must be a string or null, got {cfg['output_path']!r}")
     return cfg
 
 
@@ -218,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theta", type=_theta, required=True, metavar="a,b")
     p.add_argument("--window-lo", type=float, default=1e-3)
     p.add_argument("--window-hi", type=float, default=1e3)
-    p.add_argument("--tol", type=float, default=1e-12)
+    p.add_argument("--tol", type=_positive_finite, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=cmd_constraint)
 

@@ -6,11 +6,11 @@ the flow descends Phi wherever the Hessian is positive definite.  Both signs
 are kept: the printed system is reproducible verbatim, and the discrepancy is
 reported rather than silently resolved.
 
-With x pinned to the constraint root ('root' policy) the gradient and the
-Hessian are total derivatives along the constraint surface: the gradient by
-first-order implicit differentiation, the Hessian by the analytic second-order
-formula H = J^T (Phi'' - (Phi_x/R_x) R'') J of logit.potential_hessian_total,
-so one field evaluation costs one constraint solve.
+The gradient and the Hessian come together from one call of
+logit.potential_jet.  With x pinned to the constraint root ('root' policy)
+they are total derivatives along the constraint surface, by first- and
+second-order implicit differentiation, so one field evaluation costs one
+constraint solve and one jet.
 
 Integration is classical fixed-step RK4 with step halving on quadrant exit or
 non-finite field values, and a Lyapunov monitor over the recorded trajectory.
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .family import ThetaPoint, as_theta
-from .logit import SingularInformationError, dual_coordinates, potential_closed, potential_hessian, solve_near
+from .logit import SingularInformationError, is_positive_definite, potential_closed, potential_jet, solve_near
 
 MIN_STEP = 1e-12
 MAX_STEPS = 10**6  # bound on t_end/step, checked once per call
@@ -64,8 +64,8 @@ def _resolve(theta, x_policy) -> tuple[float, str]:
 def field_ingredients(theta, x_policy) -> tuple[np.ndarray, np.ndarray, float]:
     """(grad Phi, Hess Phi, x used) under the chosen x policy."""
     x, mode = _resolve(theta, x_policy)
-    grad = np.array(dual_coordinates(theta, x, mode))
-    return grad, potential_hessian(theta, x, mode), x
+    grad, hess = potential_jet(theta, x, mode)
+    return grad, hess, x
 
 
 def _check_sign_mode(sign_mode: str) -> None:
@@ -174,7 +174,7 @@ def lyapunov_report(trajectory: FlowTrajectory) -> dict:
     states = trajectory.states
     if not states:
         raise ValueError("empty trajectory")
-    pd_flags = [bool(np.all(np.linalg.eigvalsh(s.hess) > 0.0)) for s in states]
+    pd_flags = [is_positive_definite(s.hess) for s in states]
     jumps = [b.phi - a.phi for a, b in zip(states, states[1:])]
     pd_jumps = [
         j for j, fa, fb in zip(jumps, pd_flags, pd_flags[1:]) if fa and fb

@@ -163,71 +163,61 @@ def potential_integral(theta, x: float) -> float:
     return (b / (2.0 * a * x)) * (u0**3 / 6.0 - u0**2 / 2.0)
 
 
-def _phi_pieces(a: float, b: float, x: float):
-    """Shared quantities for the analytic derivatives of the closed-form potential."""
+def _w_partials(a: float, b: float, x: float, with_x: bool):
+    """First and second partials of Phi and of the constraint R in w = (a, b, x).
+
+    Returns (phi1, phi2, r1, r2): first partials ordered a, b, x and second
+    partials ordered aa, ab, bb, ax, bx, xx.  Without with_x only Phi's (a, b)
+    entries are computed and r1, r2 are None.  Phi = c p with c = b^2/(12 a^2 x),
+    p = (u-1)^4 + 4u - 1, u = e^(bL), L = ln(x/a), so by the product rule
+    Phi_ij = c_ij p + c_i p' u_j + c_j p' u_i + c (p'' u_i u_j + p' u_ij); the
+    constraint is written R = 2(u-1) s - a with s = b + a L.
+    """
     u = a ** (-b) * x**b
+    big_l = math.log(x) - math.log(a)  # d(log u)/db
     c = b**2 / (12.0 * a**2 * x)
     p = (u - 1.0) ** 4 + 4.0 * u - 1.0
     dp = 4.0 * (u - 1.0) ** 3 + 4.0
     ddp = 12.0 * (u - 1.0) ** 2
-    big_l = math.log(x) - math.log(a)  # d(log u)/db
-    return u, c, p, dp, ddp, big_l
-
-
-def potential_gradient_fixed(theta, x: float) -> np.ndarray:
-    """Analytic (dPhi/da, dPhi/db) of the closed form, x held constant."""
-    a, b = _pair(theta)
-    u, c, p, dp, _, big_l = _phi_pieces(a, b, float(x))
-    u_a = -(b / a) * u
-    u_b = u * big_l
-    phi_a = (-2.0 * c / a) * p + c * dp * u_a
-    phi_b = (2.0 * c / b) * p + c * dp * u_b
-    return np.array([phi_a, phi_b])
-
-
-def potential_hessian_fixed(theta, x: float) -> np.ndarray:
-    """Analytic Hessian of the closed-form potential in (a, b), x held constant."""
-    a, b = _pair(theta)
-    u, c, p, dp, ddp, big_l = _phi_pieces(a, b, float(x))
-    c_a, c_aa = -2.0 * c / a, 6.0 * c / a**2
-    c_b, c_bb = 2.0 * c / b, 2.0 * c / b**2
-    c_ab = -4.0 * c / (a * b)
-    u_a = -(b / a) * u
-    u_b = u * big_l
+    c_a, c_b = -2.0 * c / a, 2.0 * c / b
+    u_a, u_b = -(b / a) * u, u * big_l
     u_aa = (b / a**2) * u * (1.0 + b)
     u_ab = -(u / a) * (1.0 + b * big_l)
     u_bb = u * big_l**2
-    h_aa = c_aa * p + 2.0 * c_a * dp * u_a + c * (ddp * u_a**2 + dp * u_aa)
-    h_ab = c_ab * p + c_a * dp * u_b + c_b * dp * u_a + c * (ddp * u_a * u_b + dp * u_ab)
-    h_bb = c_bb * p + 2.0 * c_b * dp * u_b + c * (ddp * u_b**2 + dp * u_bb)
-    return np.array([[h_aa, h_ab], [h_ab, h_bb]])
-
-
-def _phi_x_partial(a: float, b: float, x: float) -> float:
-    """dPhi/dx of the closed form."""
-    u, c, p, dp, _, _ = _phi_pieces(a, b, x)
-    u_x = (b / x) * u
-    return (-c / x) * p + c * dp * u_x
-
-
-def _constraint_partials(a: float, b: float, x: float) -> tuple[float, float, float]:
-    """(dR/da, dR/db, dR/dx) of the constraint residual."""
-    u = a ** (-b) * x**b
-    la, lx = math.log(a), math.log(x)
-    u_a = -(b / a) * u
-    u_b = u * (lx - la)
-    u_x = (b / x) * u
-    r_a = (
-        2.0 * b * u_a
-        - 2.0 * (u_a * a * la + u * (la + 1.0))
-        + 2.0 * (u_a * a * lx + u * lx)
-        - 2.0 * lx
-        + 2.0 * (la + 1.0)
-        - 1.0
+    phi1 = [c_a * p + c * dp * u_a, c_b * p + c * dp * u_b]
+    phi2 = [
+        6.0 * c / a**2 * p + 2.0 * c_a * dp * u_a + c * (ddp * u_a**2 + dp * u_aa),
+        -4.0 * c / (a * b) * p + c_a * dp * u_b + c_b * dp * u_a + c * (ddp * u_a * u_b + dp * u_ab),
+        2.0 * c / b**2 * p + 2.0 * c_b * dp * u_b + c * (ddp * u_b**2 + dp * u_bb),
+    ]
+    if not with_x:
+        return phi1, phi2, None, None
+    c_x, u_x = -c / x, (b / x) * u
+    u_ax = -(b * b / (a * x)) * u
+    u_bx = (u / x) * (1.0 + b * big_l)
+    u_xx = (b / x**2) * u * (b - 1.0)
+    phi1.append(c_x * p + c * dp * u_x)
+    phi2 += [
+        2.0 * c / (a * x) * p + c_a * dp * u_x + c_x * dp * u_a + c * (ddp * u_a * u_x + dp * u_ax),
+        -2.0 * c / (b * x) * p + c_b * dp * u_x + c_x * dp * u_b + c * (ddp * u_b * u_x + dp * u_bx),
+        2.0 * c / x**2 * p + 2.0 * c_x * dp * u_x + c * (ddp * u_x**2 + dp * u_xx),
+    ]
+    s = b + a * big_l
+    s_a, s_x = big_l - 1.0, a / x  # s_b = 1
+    r1 = (
+        2.0 * (u_a * s + (u - 1.0) * s_a) - 1.0,
+        2.0 * (u_b * s + (u - 1.0)),
+        2.0 * (u_x * s + (u - 1.0) * s_x),
     )
-    r_b = 2.0 * u + 2.0 * b * u_b - 2.0 - 2.0 * a * la * u_b + 2.0 * a * lx * u_b
-    r_x = 2.0 * b * u_x - 2.0 * a * la * u_x + 2.0 * a * (u_x * lx + u / x) - 2.0 * a / x
-    return r_a, r_b, r_x
+    r2 = (
+        2.0 * (u_aa * s + u_a * s_a + u_a * s_a + (u - 1.0) * (-1.0 / a)),
+        2.0 * (u_ab * s + u_a + u_b * s_a),
+        2.0 * (u_bb * s + u_b + u_b),
+        2.0 * (u_ax * s + u_a * s_x + u_x * s_a + (u - 1.0) * (1.0 / x)),
+        2.0 * (u_bx * s + u_b * s_x + u_x),
+        2.0 * (u_xx * s + u_x * s_x + u_x * s_x + (u - 1.0) * (-a / x**2)),
+    )
+    return phi1, phi2, r1, r2
 
 
 def _root_slope(a: float, b: float, x: float, r_a: float, r_b: float, r_x: float) -> tuple[float, float]:
@@ -237,29 +227,60 @@ def _root_slope(a: float, b: float, x: float, r_a: float, r_b: float, r_x: float
     return -r_a / r_x, -r_b / r_x
 
 
-def implicit_root_gradient(theta, x: float) -> np.ndarray:
-    """(dx/da, dx/db) along the constraint, from implicit differentiation."""
+def potential_jet(theta, x: float, mode: str = "fixed_x") -> tuple[np.ndarray, np.ndarray]:
+    """(gradient, Hessian) of the closed-form potential in (a, b) under a differentiation mode.
+
+    'fixed_x' treats x as an independent constant (the published symbol-level
+    algebra).  'total_derivative' differentiates theta -> Phi(theta, x*(theta))
+    along the level set of the constraint R through (theta, x): the gradient
+    adds (dPhi/dx)(dx/dtheta), and with Phi'' and R'' the 3x3 second
+    derivatives in w = (a, b, x) and J = [I; -R_theta/R_x] the tangent of that
+    level set, the Hessian is H = J^T (Phi'' - (Phi_x/R_x) R'') J.  Raises
+    SingularConstraintError where R_x vanishes.
+    """
     a, b = _pair(theta)
-    x = float(x)
-    return np.array(_root_slope(a, b, x, *_constraint_partials(a, b, x)))
+    x = _check_x(x)
+    if mode == "fixed_x":
+        (g_a, g_b), (h_aa, h_ab, h_bb), _, _ = _w_partials(a, b, x, False)
+    elif mode == "total_derivative":
+        (phi_a, phi_b, phi_x), phi2, r1, r2 = _w_partials(a, b, x, True)
+        xi_a, xi_b = _root_slope(a, b, x, *r1)
+        k = phi_x / r1[2]
+        m_aa, m_ab, m_bb, m_ax, m_bx, m_xx = (phi_ij - k * r_ij for phi_ij, r_ij in zip(phi2, r2))
+        g_a, g_b = phi_a + phi_x * xi_a, phi_b + phi_x * xi_b
+        h_aa = m_aa + 2.0 * xi_a * m_ax + xi_a * xi_a * m_xx
+        h_ab = m_ab + xi_b * m_ax + xi_a * m_bx + xi_a * xi_b * m_xx
+        h_bb = m_bb + 2.0 * xi_b * m_bx + xi_b * xi_b * m_xx
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
+    return np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
 
 
 def dual_coordinates(theta, x: float, mode: str = "fixed_x") -> tuple[float, float]:
-    """Dual coordinates eta = dPhi/dtheta of the closed-form potential.
+    """Dual coordinates eta = dPhi/dtheta of the closed-form potential, as potential_jet."""
+    return tuple(potential_jet(theta, x, mode)[0].tolist())
 
-    mode 'fixed_x' treats x as an independent constant (the published
-    symbol-level algebra); 'total_derivative' adds the implicit term
-    (dPhi/dx)(dx/dtheta) obtained by differentiating the constraint.
-    """
+
+def potential_hessian(theta, x: float, mode: str = "fixed_x") -> np.ndarray:
+    """Hessian of the closed-form potential in (a, b), as potential_jet."""
+    return potential_jet(theta, x, mode)[1]
+
+
+def potential_hessian_fixed(theta, x: float) -> np.ndarray:
+    """Hessian of the closed-form potential in (a, b), x held constant."""
+    return potential_jet(theta, x, "fixed_x")[1]
+
+
+def potential_hessian_total(theta, x: float) -> np.ndarray:
+    """Hessian of theta -> Phi(theta, x*(theta)) along the constraint R(theta, x*) = 0."""
+    return potential_jet(theta, x, "total_derivative")[1]
+
+
+def implicit_root_gradient(theta, x: float) -> np.ndarray:
+    """(dx/da, dx/db) along the constraint, from implicit differentiation."""
     a, b = _pair(theta)
-    x = float(x)
-    grad = potential_gradient_fixed(theta, x)
-    if mode == "fixed_x":
-        return float(grad[0]), float(grad[1])
-    if mode == "total_derivative":
-        grad = grad + _phi_x_partial(a, b, x) * implicit_root_gradient(theta, x)
-        return float(grad[0]), float(grad[1])
-    raise ValueError(f"unknown mode {mode!r}")
+    x = _check_x(x)
+    return np.array(_root_slope(a, b, x, *_w_partials(a, b, x, True)[2]))
 
 
 def dual_potential(theta, x: float, mode: str = "fixed_x") -> PotentialEval:
@@ -283,61 +304,9 @@ def solve_near(theta, x_guess: float, tol: float = 1e-12) -> ConstraintRoot:
     return solve_constraint(theta, tol=tol)
 
 
-def potential_hessian_total(theta, x: float) -> np.ndarray:
-    """Hessian of theta -> Phi(theta, x*(theta)) along the constraint R(theta, x*) = 0.
-
-    Second-order implicit differentiation in w = (a, b, x): with Phi'' and R''
-    the 3x3 second derivatives and J = [I; -R_theta/R_x] the tangent of the
-    constraint surface, H = J^T (Phi'' - (Phi_x/R_x) R'') J.  The constraint
-    is written R = 2(u-1) s - a with s = b + a L, L = ln(x/a), u = e^(bL).
-    Raises SingularConstraintError where R_x vanishes, as implicit_root_gradient.
-    """
-    a, b = _pair(theta)
-    x = float(x)
-    u, c, p, dp, ddp, big_l = _phi_pieces(a, b, x)
-    s = b + a * big_l
-    # first partials in (a, b, x)
-    c1 = (-2.0 * c / a, 2.0 * c / b, -c / x)
-    u1 = (-(b / a) * u, u * big_l, (b / x) * u)
-    s1 = (big_l - 1.0, 1.0, a / x)
-    # second partials, indexed by the pairs aa, ab, ax, bb, bx, xx
-    pairs = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
-    c2 = (6.0 * c / a**2, -4.0 * c / (a * b), 2.0 * c / (a * x), 2.0 * c / b**2, -2.0 * c / (b * x), 2.0 * c / x**2)
-    u2 = (
-        (b / a**2) * u * (1.0 + b),
-        -(u / a) * (1.0 + b * big_l),
-        -(b * b / (a * x)) * u,
-        u * big_l**2,
-        (u / x) * (1.0 + b * big_l),
-        (b / x**2) * u * (b - 1.0),
-    )
-    s2 = (-1.0 / a, 0.0, 1.0 / x, 0.0, 0.0, -a / x**2)
-
-    # R = 2(u-1)s - a, so R_i = 2(u_i s + (u-1) s_i), less 1 for i = a
-    r_a, r_b, r_x = (2.0 * (ui * s + (u - 1.0) * si) for ui, si in zip(u1, s1))
-    r_a -= 1.0
-    xi_a, xi_b = _root_slope(a, b, x, r_a, r_b, r_x)
-    k = (c1[2] * p + c * dp * u1[2]) / r_x  # Phi_x / R_x
-    m = {}
-    for (i, j), cij, uij, sij in zip(pairs, c2, u2, s2):
-        phi_ij = cij * p + dp * (c1[i] * u1[j] + c1[j] * u1[i]) + c * (ddp * u1[i] * u1[j] + dp * uij)
-        r_ij = 2.0 * (uij * s + u1[i] * s1[j] + u1[j] * s1[i] + (u - 1.0) * sij)
-        m[i, j] = phi_ij - k * r_ij
-    h_aa = m[0, 0] + 2.0 * xi_a * m[0, 2] + xi_a * xi_a * m[2, 2]
-    h_ab = m[0, 1] + xi_b * m[0, 2] + xi_a * m[1, 2] + xi_a * xi_b * m[2, 2]
-    h_bb = m[1, 1] + 2.0 * xi_b * m[1, 2] + xi_b * xi_b * m[2, 2]
-    return np.array([[h_aa, h_ab], [h_ab, h_bb]])
-
-
-def potential_hessian(theta, x: float, mode: str = "fixed_x") -> np.ndarray:
-    """Hessian of the closed-form potential in (a, b) under a differentiation
-    mode, the second-order twin of dual_coordinates: 'fixed_x' holds x
-    constant, 'total_derivative' follows the constraint root."""
-    if mode == "fixed_x":
-        return potential_hessian_fixed(theta, x)
-    if mode == "total_derivative":
-        return potential_hessian_total(theta, x)
-    raise ValueError(f"unknown mode {mode!r}")
+def is_positive_definite(h: np.ndarray) -> bool:
+    """Sylvester's criterion for a symmetric 2x2 matrix: h_aa > 0 and det h > 0."""
+    return bool(h[0, 0] > 0.0 and h[0, 0] * h[1, 1] - h[0, 1] ** 2 > 0.0)
 
 
 def logit_information(theta, x: float, mode: str = "fixed_x") -> LogitInformation:
@@ -352,14 +321,5 @@ def logit_information(theta, x: float, mode: str = "fixed_x") -> LogitInformatio
     if abs(det_a) <= 1e-12:
         raise SingularInformationError(f"potential Hessian determinant {det_a:g} too small")
     info = -hess
-    inverse = (
-        np.array(
-            [
-                [-hess[1, 1], hess[0, 1]],
-                [hess[0, 1], -hess[0, 0]],
-            ]
-        )
-        / det_a
-    )
-    pd = bool(np.all(np.linalg.eigvalsh(hess) > 0.0))
-    return LogitInformation(info, inverse, det_a, hess, pd)
+    inverse = np.array([[-hess[1, 1], hess[0, 1]], [hess[0, 1], -hess[0, 0]]]) / det_a
+    return LogitInformation(info, inverse, det_a, hess, is_positive_definite(hess))

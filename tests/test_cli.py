@@ -171,6 +171,7 @@ class TestInvalidInput:
             (["flow", "--theta", "1,1", "--x", "abc"], "argument --x: must be a finite positive number"),
             (["potential", "--theta", "1,1", "--x", "0"], "argument --x: must be a finite positive number"),
             (["constraint", "--theta", "1,1", "--window-lo", "10", "--window-hi", "1"], "error: invalid search window"),
+            (["constraint", "--theta", "1,1", "--tol", "nan"], "argument --tol: must be a finite positive number"),
         ],
     )
     def test_invalid_argument(self, capsys, argv, message):
@@ -193,6 +194,31 @@ class TestInvalidInput:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         assert self.exit_code(["--config", str(cfg), "flow", "--theta", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(message)
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"quadratur": {}}, "error: unknown config key 'quadratur'"),
+            ({"quadrature": {"rel_tl": 1e-10}}, "error: unknown config key 'quadrature.rel_tl'"),
+            ({"flow": {"stp": 1e-3}}, "error: unknown config key 'flow.stp'"),
+            ({"quadrature": 1}, "error: quadrature must be a JSON object, got 1"),
+            ([1, 2], "error: config must be a JSON object, got [1, 2]"),
+            ({"theta_grid": [[True, 2]]}, "error: theta_grid entries must be a finite positive number, got True"),
+            ({"theta_grid": [["1", 2]]}, "error: theta_grid entries must be a finite positive number, got '1'"),
+            ({"theta_grid": [[1, 2, 3]]}, "error: theta_grid must be a list of [a, b] pairs"),
+            ({"quadrature": {"rel_tol": True}}, "error: quadrature.rel_tol must be a finite positive number, got True"),
+            ({"quadrature": {"max_subdivisions": 2.5}}, "error: quadrature.max_subdivisions must be a finite positive integer, got 2.5"),
+            ({"output_path": 1}, "error: output_path must be a string or null, got 1"),
+        ],
+    )
+    def test_invalid_config(self, capsys, tmp_path, config, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert self.exit_code(["--config", str(cfg), "constraint", "--theta", "1,1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(message)

@@ -1,6 +1,6 @@
-"""The constraint layer's calculus and solver: the analytic total Hessian
-against a sympy derivation, the array form of the constraint residual, and the
-branch chosen by the local and the global solver."""
+"""The constraint layer's calculus and solver: the analytic jet of the
+potential in both modes against a sympy derivation, the array form of the
+constraint residual, and the branch chosen by the local and the global solver."""
 
 import math
 
@@ -10,11 +10,12 @@ import pytest
 import logitweibull as lw
 from logitweibull.logit import (
     SingularConstraintError,
-    _constraint_partials,
+    _w_partials,
     implicit_root_gradient,
     potential_hessian,
     potential_hessian_fixed,
     potential_hessian_total,
+    potential_jet,
     solve_near,
 )
 from logitweibull.oracles import find_root_bracketed
@@ -23,25 +24,31 @@ sympy = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
 
 HESSIAN_THETAS = [(0.5, 3.0), (1.0, 1.0), (2.0, 0.5), (3.0, 2.0), (0.3, 6.0), (4.0, 1.5)]
+OFF_ROOT = ((1.5, 2.0), 0.9)
 
 
 @pytest.fixture(scope="module")
-def exact_total_hessian():
-    """(a, b, x) -> exact Hessian of Phi(theta, X(theta)) with R(theta, X(theta)) = 0.
+def exact_jet():
+    """mode -> ((a, b, x) -> exact (gradient, Hessian) of Phi in (a, b)).
 
-    sympy applies the chain rule to Phi(a, b, X(a, b)) with X an undefined
-    function, and takes the derivatives of X from the derivatives of the
-    constraint identity R(a, b, X(a, b)) = 0.  Nothing here uses the
-    J^T M J form of the implementation.  Values are in 40-digit mpmath.
+    'fixed_x' differentiates Phi(a, b, x) with x a plain symbol.  For
+    'total_derivative' sympy applies the chain rule to Phi(a, b, X(a, b)) with
+    X an undefined function, and takes the derivatives of X from the
+    derivatives of the constraint identity R(a, b, X(a, b)) = 0.  Nothing here
+    uses the J^T M J form of the implementation.  Values are in 40-digit mpmath.
     """
     a, b, x = sympy.symbols("a b x", positive=True)
     X = sympy.Function("X")(a, b)
-    u = a ** (-b) * X**b
-    phi = b**2 / (12 * a**2 * X) * ((u - 1) ** 4 + 4 * u - 1)
-    r = (
-        2 * b * u - 2 * b - 2 * u * a * sympy.log(a) + 2 * u * a * sympy.log(X)
-        - 2 * a * sympy.log(X) + 2 * a * sympy.log(a) - a
-    )
+
+    def phi_and_r(xv):
+        u = a ** (-b) * xv**b
+        phi = b**2 / (12 * a**2 * xv) * ((u - 1) ** 4 + 4 * u - 1)
+        r = (
+            2 * b * u - 2 * b - 2 * u * a * sympy.log(a) + 2 * u * a * sympy.log(xv)
+            - 2 * a * sympy.log(xv) + 2 * a * sympy.log(a) - a
+        )
+        return phi, r
+
     d = {
         (1, 0): sympy.Symbol("x_a"),
         (0, 1): sympy.Symbol("x_b"),
@@ -57,45 +64,66 @@ def exact_total_hessian():
             expr = expr.subs(sympy.Derivative(X, *var), d[i, j])
         return expr.subs(X, x)
 
+    phi, r = phi_and_r(X)
+
     def slope(key):
         # the key-th derivative of R(a, b, X(a, b)) = 0 is linear in that derivative of X
         eq = plain(sympy.diff(r, *([a] * key[0] + [b] * key[1])))
         return -eq.subs(d[key], 0) / sympy.diff(eq, d[key])
 
     order = [(1, 0), (0, 1), (2, 0), (1, 1), (0, 2)]
-    hess = [plain(sympy.diff(phi, *var)) for var in ([a, a], [a, b], [b, b])]
+    derivatives = ([a], [b], [a, a], [a, b], [b, b])
     symbols = [a, b, x] + [d[key] for key in order]
     slope_fns = [sympy.lambdify(symbols, slope(key), "mpmath") for key in order]
-    hess_fns = [sympy.lambdify(symbols, expr, "mpmath") for expr in hess]
+    total_fn = sympy.lambdify(symbols, [plain(sympy.diff(phi, *var)) for var in derivatives], "mpmath")
+    phi_fixed = phi_and_r(x)[0]
+    fixed_fn = sympy.lambdify([a, b, x], [sympy.diff(phi_fixed, *var) for var in derivatives], "mpmath")
 
-    def evaluate(av, bv, xv):
+    def jet(values):
+        g_a, g_b, h_aa, h_ab, h_bb = (float(v) for v in values)
+        return np.array([g_a, g_b]), np.array([[h_aa, h_ab], [h_ab, h_bb]])
+
+    def fixed(av, bv, xv):
+        with mpmath.workdps(40):
+            return jet(fixed_fn(mpmath.mpf(av), mpmath.mpf(bv), mpmath.mpf(xv)))
+
+    def total(av, bv, xv):
         with mpmath.workdps(40):
             args = [mpmath.mpf(av), mpmath.mpf(bv), mpmath.mpf(xv)]
             for fn in slope_fns:  # each slope needs only the ones before it
                 args.append(fn(*args, *[0] * (len(symbols) - len(args))))
-            h_aa, h_ab, h_bb = (float(fn(*args)) for fn in hess_fns)
-        return np.array([[h_aa, h_ab], [h_ab, h_bb]])
+            return jet(total_fn(*args))
 
-    return evaluate
+    return {"fixed_x": fixed, "total_derivative": total}
+
+
+def assert_jet_matches(theta, x, mode, exact_jet):
+    """Every gradient and Hessian entry within 1e-12 relative of the exact value."""
+    for new, exact in zip(potential_jet(theta, x, mode), exact_jet[mode](*theta, x)):
+        assert np.all(np.abs(new - exact) <= 1e-12 * np.abs(exact)), (new, exact)
+
+
+class TestFixedJet:
+    @pytest.mark.parametrize("theta", HESSIAN_THETAS)
+    def test_matches_sympy_at_root(self, exact_jet, theta):
+        assert_jet_matches(theta, lw.solve_constraint(theta).x, "fixed_x", exact_jet)
+
+    def test_matches_sympy_off_root(self, exact_jet):
+        assert_jet_matches(*OFF_ROOT, "fixed_x", exact_jet)
 
 
 class TestTotalHessian:
     @pytest.mark.parametrize("theta", HESSIAN_THETAS)
-    def test_matches_sympy_at_root(self, exact_total_hessian, theta):
-        x = lw.solve_constraint(theta).x
-        exact = exact_total_hessian(*theta, x)
-        h = potential_hessian_total(theta, x)
-        assert np.all(np.abs(h - exact) <= 1e-12 * np.abs(exact))
+    def test_matches_sympy_at_root(self, exact_jet, theta):
+        assert_jet_matches(theta, lw.solve_constraint(theta).x, "total_derivative", exact_jet)
 
-    def test_matches_sympy_off_root(self, exact_total_hessian):
-        # off the root the formula follows the level set of R through (theta, x)
-        exact = exact_total_hessian(1.5, 2.0, 0.9)
-        h = potential_hessian_total((1.5, 2.0), 0.9)
-        assert np.all(np.abs(h - exact) <= 1e-12 * np.abs(exact))
+    def test_matches_sympy_off_root(self, exact_jet):
+        # off the root the total derivative follows the level set of R through (theta, x)
+        assert_jet_matches(*OFF_ROOT, "total_derivative", exact_jet)
 
     def test_singular_constraint_raises_like_gradient(self):
         # R_x vanishes at the minimum of R(x) for theta = (1, 1), between 0.5 and 0.8
-        x = find_root_bracketed(lambda v: _constraint_partials(1.0, 1.0, v)[2], 0.5, 0.8, 1e-300)
+        x = find_root_bracketed(lambda v: _w_partials(1.0, 1.0, v, True)[2][2], 0.5, 0.8, 1e-300)
         with pytest.raises(SingularConstraintError):
             implicit_root_gradient((1, 1), x)
         with pytest.raises(SingularConstraintError):

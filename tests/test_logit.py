@@ -7,6 +7,9 @@ import logitweibull as lw
 from logitweibull.logit import (
     GroupElement,
     IDENTITY,
+    implicit_root_gradient,
+    is_positive_definite,
+    potential_hessian,
     potential_hessian_fixed,
     potential_hessian_total,
     solve_near,
@@ -236,6 +239,53 @@ class TestLogitInformation:
         root = lw.solve_constraint((1, 1)).x
         h = potential_hessian_total((1, 1), root)
         assert h[0, 1] == h[1, 0]
+
+
+class TestJetValidatesX:
+    """Every view of the potential jet rejects an x that is not finite and positive."""
+
+    VIEWS = {
+        "potential_jet": lambda th, x: lw.potential_jet(th, x, "total_derivative"),
+        "dual_coordinates": lambda th, x: lw.dual_coordinates(th, x),
+        "potential_hessian": lambda th, x: potential_hessian(th, x, "total_derivative"),
+        "potential_hessian_fixed": potential_hessian_fixed,
+        "potential_hessian_total": potential_hessian_total,
+        "implicit_root_gradient": implicit_root_gradient,
+    }
+
+    @pytest.mark.parametrize("view", sorted(VIEWS))
+    def test_rejects_invalid_x(self, view):
+        for x in (math.nan, math.inf, 0.0, -1.0):
+            with pytest.raises(ValueError, match="x must be a finite positive real"):
+                self.VIEWS[view]((1.3, 2.1), x)
+
+
+class TestPositiveDefinite:
+    def test_agrees_with_eigenvalues(self):
+        # entries on a grid that spans definite, indefinite and negative-definite
+        # matrices, plus matrices within 1e-9 of singular on either side
+        values = [-2.0, -0.5, 0.0, 0.3, 1.0, 4.0]
+        matrices = [np.array([[p, q], [q, r]]) for p in values for q in values for r in values]
+        for p, q in ((1.0, 1.0), (4.0, 0.5), (0.3, -2.0)):
+            for eps in (1e-9, -1e-9):
+                matrices.append(np.array([[p, q], [q, q * q / p + eps]]))
+        flags = [is_positive_definite(h) for h in matrices]
+        assert flags == [bool(np.all(np.linalg.eigvalsh(h) > 0.0)) for h in matrices]
+        assert 0 < sum(flags) < len(flags)
+
+    def test_agrees_with_eigenvalues_on_potential_hessians(self):
+        # the fixed-x Hessian is indefinite at (1, 1) and changes type across the box
+        flags = []
+        for a in np.geomspace(0.2, 5.0, 12):
+            for b in np.geomspace(0.2, 8.0, 12):
+                h = potential_hessian_fixed((a, b), 1.0)
+                flags.append(is_positive_definite(h))
+                assert flags[-1] == bool(np.all(np.linalg.eigvalsh(h) > 0.0))
+        assert 0 < sum(flags) < len(flags)
+
+    def test_singular_is_not_definite(self):
+        assert not is_positive_definite(np.array([[1.0, 1.0], [1.0, 1.0]]))
+        assert not is_positive_definite(np.zeros((2, 2)))
 
 
 class TestScoreComponentGap:

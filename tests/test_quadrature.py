@@ -2,6 +2,8 @@
 the dependency footprint, and a QUADPACK cross-check."""
 
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -94,7 +96,10 @@ class TestEvaluation:
 
 def test_import_does_not_load_scipy():
     code = "import sys, logitweibull.cli; print(any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    # the child imports the package from where this process found it
+    src = str(pathlib.Path(lw.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     assert out.stdout.strip() == "False"
 
 
